@@ -19,10 +19,14 @@
 # artifact; `make streamfig` rewrites the streaming-mutation study
 # (FIG_stream_study.csv, incremental PR/WCC maintenance vs. full
 # recompute across batch size x delete fraction); `make
-# streamfig-check` is the streaming drift gate over that artifact.
+# streamfig-check` is the streaming drift gate over that artifact;
+# `make bench-build` times the homogenizing CSR build every engine
+# runs (weighted kron-16, symmetrize + drop self-loops + dedup + sort)
+# for BENCHTIME iterations.
 
 GO ?= go
 FUZZTIME ?= 20s
+BENCHTIME ?= 10x
 # Dataset scale for the scheduling-study figure. 17 gives GAP's
 # PageRank regions enough chunks (32 at the 4096 grain) that the steal
 # policies actually steal at the 16- and 32-thread points — the regime
@@ -30,7 +34,7 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in code, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test race race-full fuzz bench baseline benchfig benchfig-ci benchfig-check compress-ratio servefig servefig-check streamfig streamfig-check serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
+.PHONY: all build test race race-full fuzz bench bench-build baseline benchfig benchfig-ci benchfig-check compress-ratio servefig servefig-check streamfig streamfig-check serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
 
 all: test race
 
@@ -62,6 +66,9 @@ compress-ratio:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+
+bench-build:
+	$(GO) test -run '^$$' -bench 'BuildCSRKron16$$' -benchtime $(BENCHTIME) -benchmem ./internal/graph/
 
 baseline:
 	EPG_WRITE_BASELINE=1 $(GO) test -run TestWriteBenchBaseline -v .

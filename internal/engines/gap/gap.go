@@ -173,7 +173,6 @@ func (inst *Instance) BuildStructure() {
 			w.Charge(costBuildEdge.Scale(float64(hi - lo)))
 		})
 		inst.in = graph.Transpose(inst.out, 0)
-		inst.in.SortAdjacency()
 	} else {
 		inst.in = inst.out
 	}

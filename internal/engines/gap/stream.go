@@ -50,7 +50,8 @@ type streamState struct {
 	degDirty map[graph.VID]struct{}
 	inDirty  map[graph.VID]struct{}
 	// wccLab is the component labeling of the last IncrementalWCC;
-	// wccAdds / wccDels are the net edge changes since.
+	// wccAdds / wccDels are each batch's net edge changes since, in
+	// batch order (an add may have been deleted by a later batch).
 	wccLab  []graph.VID
 	wccAdds []graph.Edge
 	wccDels []graph.Edge
@@ -639,6 +640,11 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		return root
 	}
 	for _, e := range st.wccAdds {
+		// The log is not netted across batches: an edge a later
+		// batch deleted again must not merge anything.
+		if !inst.out.HasEdge(e.Src, e.Dst) {
+			continue
+		}
 		a, b := find(newlab[e.Src]), find(newlab[e.Dst])
 		if a == b {
 			continue

@@ -268,6 +268,38 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 	}
 }
 
+// An edge inserted in one batch and deleted in the next leaves the
+// graph unchanged. One IncrementalWCC covering both batches sees the
+// insert in its add log and must not merge the two components through
+// it.
+func TestIncrementalWCCInsertThenDeleteAcrossBatches(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		el := &graph.EdgeList{
+			NumVertices: 4,
+			Directed:    directed,
+			Edges:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}},
+		}
+		inst := load(t, New(), el, 2)
+		if _, err := inst.IncrementalWCC(); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []graph.MutOp{graph.MutInsert, graph.MutDelete} {
+			if _, err := inst.Mutate(graph.Batch{{Op: op, Src: 1, Dst: 2}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wcc, err := inst.IncrementalWCC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := elFromCSR(inst.OutCSR(), directed)
+		labelsEqual(t, wcc, freshWCC(t, post, 2), "insert-then-delete directed="+bstr(directed))
+		if wcc.Component[1] == wcc.Component[2] {
+			t.Fatalf("directed=%v: deleted edge 1-2 merged components", directed)
+		}
+	}
+}
+
 func randomSparseEL(seed uint64, n, m int, directed bool) *graph.EdgeList {
 	r := xrand.New(seed)
 	el := &graph.EdgeList{NumVertices: n, Directed: directed}

@@ -102,7 +102,6 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	}
 	if el.Directed {
 		tr := graph.Transpose(csr, 0)
-		tr.SortAdjacency()
 		for v := 0; v < n; v++ {
 			inst.vertices[v].in = tr.Neighbors(graph.VID(v))
 		}

@@ -184,7 +184,6 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	var inCSR *graph.CSR
 	if inst.directed {
 		inCSR = graph.Transpose(out, 0)
-		inCSR.SortAdjacency()
 	} else {
 		inCSR = out
 	}

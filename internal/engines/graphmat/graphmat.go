@@ -108,7 +108,6 @@ func (inst *Instance) BuildStructure() {
 	var in *graph.CSR
 	if el.Directed {
 		in = graph.Transpose(out, 0)
-		in.SortAdjacency()
 	} else {
 		in = out
 	}

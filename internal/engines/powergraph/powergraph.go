@@ -84,7 +84,6 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	var in *graph.CSR
 	if el.Directed {
 		in = graph.Transpose(out, 0)
-		in.SortAdjacency()
 	} else {
 		in = out
 	}

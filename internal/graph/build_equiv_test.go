@@ -48,7 +48,7 @@ func referenceCSR(el *EdgeList, opt BuildOptions) *CSR {
 		}
 	}
 	if opt.Sort || opt.Dedup {
-		csr.SortAdjacency()
+		sortAdjacencyOracle(csr)
 	}
 	if opt.Dedup {
 		csr = dedupCSR(csr)
@@ -75,10 +75,9 @@ func randomEdgeListDup(r *rand.Rand, n, m int, weighted, directed bool) *EdgeLis
 	return el
 }
 
-// canonicalizeRows re-sorts every adjacency row by (neighbor, weight):
-// SortAdjacency alone leaves the weight order among duplicate
-// parallel edges unspecified (unstable sort), which is irrelevant to
-// every kernel but would make a bitwise comparison flaky.
+// canonicalizeRows re-sorts every adjacency row by (neighbor, weight),
+// so layouts that differ only in the weight order among parallel
+// edges (Transpose keeps input order) compare equal bitwise.
 func canonicalizeRows(c *CSR) {
 	for v := 0; v < c.NumVertices; v++ {
 		lo, hi := c.Offsets[v], c.Offsets[v+1]
@@ -100,30 +99,7 @@ func sameCSR(t *testing.T, label string, want, got *CSR) {
 	t.Helper()
 	canonicalizeRows(want)
 	canonicalizeRows(got)
-	if got.NumVertices != want.NumVertices {
-		t.Fatalf("%s: vertices %d vs %d", label, got.NumVertices, want.NumVertices)
-	}
-	for i := range want.Offsets {
-		if got.Offsets[i] != want.Offsets[i] {
-			t.Fatalf("%s: offsets[%d] = %d, want %d", label, i, got.Offsets[i], want.Offsets[i])
-		}
-	}
-	if len(got.Adj) != len(want.Adj) {
-		t.Fatalf("%s: adj length %d vs %d", label, len(got.Adj), len(want.Adj))
-	}
-	for i := range want.Adj {
-		if got.Adj[i] != want.Adj[i] {
-			t.Fatalf("%s: adj[%d] = %d, want %d", label, i, got.Adj[i], want.Adj[i])
-		}
-	}
-	if (got.Weights == nil) != (want.Weights == nil) {
-		t.Fatalf("%s: weights presence differs", label)
-	}
-	for i := range want.Weights {
-		if got.Weights[i] != want.Weights[i] {
-			t.Fatalf("%s: weights[%d] = %v, want %v", label, i, got.Weights[i], want.Weights[i])
-		}
-	}
+	identicalCSR(t, label, want, got)
 }
 
 // TestBuildCSREquivalentToReference is the old-vs-new builder wall:
@@ -208,6 +184,124 @@ func TestTransposeEquivalentToReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameCSR(t, "transpose", want, got)
+		}
+	}
+}
+
+// identicalCSR fails unless got matches want byte for byte: offsets,
+// adjacency order and weight layout, with no canonicalization.
+func identicalCSR(t *testing.T, label string, want, got *CSR) {
+	t.Helper()
+	if got.NumVertices != want.NumVertices || len(got.Offsets) != len(want.Offsets) ||
+		len(got.Adj) != len(want.Adj) || (got.Weights == nil) != (want.Weights == nil) {
+		t.Fatalf("%s: shape differs", label)
+	}
+	for i := range want.Offsets {
+		if got.Offsets[i] != want.Offsets[i] {
+			t.Fatalf("%s: offsets[%d] = %d, want %d", label, i, got.Offsets[i], want.Offsets[i])
+		}
+	}
+	for i := range want.Adj {
+		if got.Adj[i] != want.Adj[i] {
+			t.Fatalf("%s: adj[%d] = %d, want %d", label, i, got.Adj[i], want.Adj[i])
+		}
+	}
+	for i := range want.Weights {
+		if got.Weights[i] != want.Weights[i] {
+			t.Fatalf("%s: weights[%d] = %v, want %v", label, i, got.Weights[i], want.Weights[i])
+		}
+	}
+}
+
+// checkRowsOrdered fails unless every row is ascending (strictly, when
+// strict) and each run of equal neighbors is ordered by weight.
+func checkRowsOrdered(t *testing.T, label string, c *CSR, strict bool) {
+	t.Helper()
+	for v := 0; v < c.NumVertices; v++ {
+		adj, ws := c.Neighbors(VID(v)), c.NeighborWeights(VID(v))
+		for i := 1; i < len(adj); i++ {
+			switch {
+			case adj[i] < adj[i-1]:
+				t.Fatalf("%s: row %d descends at %d (%d after %d)", label, v, i, adj[i], adj[i-1])
+			case adj[i] == adj[i-1] && strict:
+				t.Fatalf("%s: row %d repeats neighbor %d", label, v, adj[i])
+			case adj[i] == adj[i-1] && ws != nil && ws[i] < ws[i-1]:
+				t.Fatalf("%s: row %d ties on %d out of weight order", label, v, adj[i])
+			}
+		}
+	}
+}
+
+// shuffleRows permutes every row (weights alongside), so a consumer
+// cannot inherit order from its input.
+func shuffleRows(c *CSR, r *rand.Rand) {
+	for v := 0; v < c.NumVertices; v++ {
+		adj, ws := c.Neighbors(VID(v)), c.NeighborWeights(VID(v))
+		r.Shuffle(len(adj), func(i, j int) {
+			adj[i], adj[j] = adj[j], adj[i]
+			if ws != nil {
+				ws[i], ws[j] = ws[j], ws[i]
+			}
+		})
+	}
+}
+
+// TestTransposeRowsStrictlyAscending: workers own ascending source
+// ranges and reserve cumulative sub-ranges, so for any deduplicated
+// input — here with its rows shuffled — every transposed row is
+// strictly ascending, and the result is the same at every worker
+// count.
+func TestTransposeRowsStrictlyAscending(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 8; trial++ {
+		n := 2 + r.Intn(400)
+		el := randomEdgeListDup(r, n, 2000+r.Intn(10000), trial%2 == 0, trial%3 == 0)
+		c := BuildCSR(el, BuildOptions{Symmetrize: !el.Directed, DropSelfLoops: true, Dedup: true})
+		shuffleRows(c, r)
+		var first *CSR
+		for _, workers := range []int{1, 2, 3, 8} {
+			tr := Transpose(c, workers)
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			checkRowsOrdered(t, "transpose", tr, true)
+			if first == nil {
+				first = tr
+				continue
+			}
+			identicalCSR(t, "transpose across workers", first, tr)
+		}
+	}
+}
+
+// TestBuildCSRSortedRowsCanonical: BuildCSR with Sort or Dedup emits
+// rows ascending with parallel edges ordered by weight, byte-identical
+// to the comparison-sort oracle with no canonicalizeRows pass, at
+// every worker count and for any order of the input edges.
+func TestBuildCSRSortedRowsCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 8; trial++ {
+		n := 2 + r.Intn(300)
+		el := randomEdgeListDup(r, n, 2000+r.Intn(6000), trial%2 == 0, trial%3 == 0)
+		shuffled := *el
+		shuffled.Edges = append([]Edge(nil), el.Edges...)
+		r.Shuffle(len(shuffled.Edges), func(i, j int) {
+			shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
+		})
+		for _, opt := range []BuildOptions{
+			{Sort: true},
+			{Symmetrize: true, Sort: true},
+			{Dedup: true},
+			{Symmetrize: true, DropSelfLoops: true, Dedup: true, Sort: true},
+		} {
+			want := referenceCSR(el, opt)
+			for _, workers := range []int{1, 2, 3, 8} {
+				opt.Workers = workers
+				got := BuildCSR(el, opt)
+				checkRowsOrdered(t, "sorted build", got, opt.Dedup)
+				identicalCSR(t, "sorted build", want, got)
+				identicalCSR(t, "shuffled input", want, BuildCSR(&shuffled, opt))
+			}
 		}
 	}
 }

@@ -18,6 +18,18 @@
 // (per-worker degree histograms merged by parallel.ScanInt64, then a
 // scatter into per-(worker,vertex) reserved sub-ranges).
 //
+// No builder runs a comparison sort. Transpose workers own contiguous,
+// ascending source ranges and reserve cumulative sub-ranges in worker
+// order, so every transposed row is ascending at any worker count.
+// BuildCSR with Sort or Dedup therefore builds in two scatters: first
+// keyed by destination (rows hold sources), then a transpose back
+// keyed by source. Dedup is fused into that transpose: a per-worker
+// marker of the last source placed in each row spots a repeated pair
+// in both the count and the scatter pass, and a repeat only folds its
+// weight into the copy already placed (the minimum wins). Without
+// Dedup, runs of parallel edges are ordered by weight. SortAdjacency
+// runs the same stable scatter twice.
+//
 // CompressedCSR is the Ligra+/GBBS-style byte-compressed sibling for
 // bandwidth-bound traversal: each vertex's sorted neighbor list is
 // stored as a varint degree, a zigzag-varint first-neighbor delta from

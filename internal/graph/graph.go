@@ -117,65 +117,9 @@ func (c *CSR) Validate() error {
 	return nil
 }
 
-// vidSorter sorts a neighbor slice ascending through sort.Sort. A
-// concrete type with pointer receivers keeps the hot builder path free
-// of allocations: sort.Slice allocated a closure plus reflect swapper
-// per vertex, while a hoisted *vidSorter boxes into sort.Interface
-// once per SortAdjacency call.
-type vidSorter []VID
-
-func (s *vidSorter) Len() int           { return len(*s) }
-func (s *vidSorter) Less(i, j int) bool { return (*s)[i] < (*s)[j] }
-func (s *vidSorter) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
-
-// adjWeightSorter sorts a neighbor slice and its parallel weight slice
-// together, in place, ordered by (neighbor, weight). Ordering ties by
-// weight keeps the layout a pure function of the pair multiset;
-// dedupCSR's min-weight rule is indifferent to it.
-type adjWeightSorter struct {
-	adj []VID
-	w   []float32
-}
-
-func (s *adjWeightSorter) Len() int { return len(s.adj) }
-func (s *adjWeightSorter) Less(i, j int) bool {
-	if s.adj[i] != s.adj[j] {
-		return s.adj[i] < s.adj[j]
-	}
-	return s.w[i] < s.w[j]
-}
-func (s *adjWeightSorter) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
-// SortAdjacency sorts each vertex's neighbor list ascending (weights
-// permuted alongside, ties ordered by weight). Sorted adjacency
-// improves locality, is required by the LCC intersection kernels, and
-// is a precondition of CompressCSR's unsigned gap encoding. Both
-// branches sort in place through concrete sort.Sort types — no
-// per-vertex index, scratch, or closure allocations.
-func (c *CSR) SortAdjacency() {
-	var vs vidSorter
-	var ps adjWeightSorter
-	for v := 0; v < c.NumVertices; v++ {
-		lo, hi := c.Offsets[v], c.Offsets[v+1]
-		if hi-lo < 2 {
-			continue
-		}
-		adj := c.Adj[lo:hi]
-		if c.Weights == nil {
-			vs = adj
-			sort.Sort(&vs)
-			continue
-		}
-		ps.adj, ps.w = adj, c.Weights[lo:hi]
-		sort.Sort(&ps)
-	}
-}
-
 // HasEdge reports whether u has v in its sorted adjacency list. The
-// adjacency must have been sorted with SortAdjacency.
+// adjacency must be sorted: built with Sort or Dedup, returned by
+// Transpose, or sorted with SortAdjacency.
 func (c *CSR) HasEdge(u, v VID) bool {
 	adj := c.Neighbors(u)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })

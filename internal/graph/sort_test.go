@@ -5,8 +5,95 @@ import (
 	"testing"
 )
 
-// referenceSortAdjacency is the pre-refactor sort.Slice implementation,
-// kept as the oracle for the concrete-sorter rewrite.
+// vidSorter sorts a neighbor slice ascending through sort.Sort.
+type vidSorter []VID
+
+func (s *vidSorter) Len() int           { return len(*s) }
+func (s *vidSorter) Less(i, j int) bool { return (*s)[i] < (*s)[j] }
+func (s *vidSorter) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
+
+// adjWeightSorter sorts a neighbor slice and its parallel weight slice
+// together, in place, ordered by (neighbor, weight).
+type adjWeightSorter struct {
+	adj []VID
+	w   []float32
+}
+
+func (s *adjWeightSorter) Len() int { return len(s.adj) }
+func (s *adjWeightSorter) Less(i, j int) bool {
+	if s.adj[i] != s.adj[j] {
+		return s.adj[i] < s.adj[j]
+	}
+	return s.w[i] < s.w[j]
+}
+func (s *adjWeightSorter) Swap(i, j int) {
+	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
+	s.w[i], s.w[j] = s.w[j], s.w[i]
+}
+
+// sortAdjacencyOracle is the comparison-sort SortAdjacency that the
+// scatter-based builder replaced: every row sorted by (neighbor,
+// weight) through sort.Sort. It is the oracle for the sorted layout
+// BuildCSR, Transpose and SortAdjacency must reproduce byte for byte.
+func sortAdjacencyOracle(c *CSR) {
+	var vs vidSorter
+	var ps adjWeightSorter
+	for v := 0; v < c.NumVertices; v++ {
+		lo, hi := c.Offsets[v], c.Offsets[v+1]
+		if hi-lo < 2 {
+			continue
+		}
+		adj := c.Adj[lo:hi]
+		if c.Weights == nil {
+			vs = adj
+			sort.Sort(&vs)
+			continue
+		}
+		ps.adj, ps.w = adj, c.Weights[lo:hi]
+		sort.Sort(&ps)
+	}
+}
+
+// dedupCSR is the serial deduplication pass the fused scatter
+// replaced: it removes duplicate neighbors from a sorted CSR, keeping
+// the minimum weight among parallel edges.
+func dedupCSR(c *CSR) *CSR {
+	out := &CSR{
+		NumVertices: c.NumVertices,
+		Offsets:     make([]int64, c.NumVertices+1),
+		Adj:         make([]VID, 0, len(c.Adj)),
+	}
+	if c.Weights != nil {
+		out.Weights = make([]float32, 0, len(c.Weights))
+	}
+	for v := 0; v < c.NumVertices; v++ {
+		lo, hi := c.Offsets[v], c.Offsets[v+1]
+		var prev VID
+		first := true
+		for i := lo; i < hi; i++ {
+			u := c.Adj[i]
+			if !first && u == prev {
+				if c.Weights != nil {
+					if w := c.Weights[i]; w < out.Weights[len(out.Weights)-1] {
+						out.Weights[len(out.Weights)-1] = w
+					}
+				}
+				continue
+			}
+			out.Adj = append(out.Adj, u)
+			if c.Weights != nil {
+				out.Weights = append(out.Weights, c.Weights[i])
+			}
+			prev, first = u, false
+		}
+		out.Offsets[v+1] = int64(len(out.Adj))
+	}
+	return out
+}
+
+// referenceSortAdjacency is the original sort.Slice implementation,
+// kept as a second oracle: its weight order among parallel edges is
+// unspecified.
 func referenceSortAdjacency(c *CSR) {
 	for v := 0; v < c.NumVertices; v++ {
 		lo, hi := c.Offsets[v], c.Offsets[v+1]
@@ -140,5 +227,22 @@ func BenchmarkSortAdjacencyWeightedReference(b *testing.B) {
 		copy(scratch.Adj, base.Adj)
 		copy(scratch.Weights, base.Weights)
 		referenceSortAdjacency(scratch)
+	}
+}
+
+// TestSortAdjacencyMatchesOracleBytes: the scatter-based SortAdjacency
+// reproduces the comparison-sort oracle byte for byte, weight layout
+// among parallel edges included.
+func TestSortAdjacencyMatchesOracleBytes(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, weighted := range []bool{false, true} {
+			el := randomEdgeList(seed, 96, 6000, weighted)
+			el.Edges = append(el.Edges, el.Edges[:2000]...) // parallel edges
+			want := BuildCSR(el, BuildOptions{Symmetrize: true})
+			got := cloneCSR(want)
+			sortAdjacencyOracle(want)
+			got.SortAdjacency()
+			identicalCSR(t, "sort adjacency", want, got)
+		}
 	}
 }

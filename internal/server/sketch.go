@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -136,18 +135,54 @@ type distItem struct {
 	d float64
 }
 
+// less orders frontier entries by distance, ties toward the lower
+// vertex, so the pop order is deterministic.
+func (a distItem) less(b distItem) bool {
+	if a.d != b.d {
+		return a.d < b.d
+	}
+	return a.v < b.v
+}
+
+// distHeap is a typed binary min-heap of frontier entries. push and
+// pop sift exactly as container/heap does, without boxing every entry
+// into an interface.
 type distHeap []distItem
 
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s[j].less(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
 	}
-	return h[i].v < h[j].v // deterministic tie-break
 }
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)   { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *distHeap) pop() distItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].less(s[j]) {
+			j = j2
+		}
+		if !s[j].less(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
 
 // dijkstra is a plain serial shortest-path pass (lazy-deletion heap).
 func dijkstra(c *graph.CSR, root graph.VID) []float64 {
@@ -157,9 +192,9 @@ func dijkstra(c *graph.CSR, root graph.VID) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[root] = 0
-	h := &distHeap{{v: root, d: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(distItem)
+	h := distHeap{{v: root, d: 0}}
+	for len(h) > 0 {
+		it := h.pop()
 		if it.d > dist[it.v] {
 			continue
 		}
@@ -168,7 +203,7 @@ func dijkstra(c *graph.CSR, root graph.VID) []float64 {
 		for i, u := range adj {
 			if nd := it.d + float64(ws[i]); nd < dist[u] {
 				dist[u] = nd
-				heap.Push(h, distItem{v: u, d: nd})
+				h.push(distItem{v: u, d: nd})
 			}
 		}
 	}

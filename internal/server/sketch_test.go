@@ -8,7 +8,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/harness"
 )
 
-func buildTestCSR(t *testing.T, name string, seed uint64) *graph.CSR {
+func buildTestCSR(t testing.TB, name string, seed uint64) *graph.CSR {
 	t.Helper()
 	el, err := harness.ResolveDataset(name, harness.DatasetOptions{Seed: seed})
 	if err != nil {

@@ -28,7 +28,6 @@ func Prepare(el *graph.EdgeList) *Prepared {
 	in := out
 	if el.Directed {
 		in = graph.Transpose(out, 0)
-		in.SortAdjacency()
 	}
 	return &Prepared{El: el, Out: out, In: in}
 }
