@@ -20,9 +20,10 @@
 # (FIG_stream_study.csv, incremental PR/WCC maintenance vs. full
 # recompute across batch size x delete fraction); `make
 # streamfig-check` is the streaming drift gate over that artifact;
-# `make bench-build` times the homogenizing CSR build every engine
-# runs (weighted kron-16, symmetrize + drop self-loops + dedup + sort)
-# for BENCHTIME iterations.
+# `make bench-build` times, for BENCHTIME iterations each on weighted
+# kron-16, the homogenizing CSR build every engine runs (symmetrize +
+# drop self-loops + dedup + sort), the greedy vertex-cut (32 shards),
+# and PowerGraph's Load and PageRank at 32 threads.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzCompressedCSREquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
 	$(GO) test -fuzz '^FuzzMutationEquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
+	$(GO) test -fuzz '^FuzzGreedyVertexCut$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 
 # Smoke step: print raw vs delta+varint adjacency bytes on kron-16 and
 # fail below the 2x floor.
@@ -68,7 +70,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 
 bench-build:
-	$(GO) test -run '^$$' -bench 'BuildCSRKron16$$' -benchtime $(BENCHTIME) -benchmem ./internal/graph/
+	$(GO) test -run '^$$' -bench 'BuildCSRKron16$$|GreedyVertexCutKron16$$' -benchtime $(BENCHTIME) -benchmem ./internal/graph/
+	$(GO) test -run '^$$' -bench 'PowerGraph(Load|PageRank)Kron16$$' -benchtime $(BENCHTIME) -benchmem ./internal/engines/powergraph/
 
 baseline:
 	EPG_WRITE_BASELINE=1 $(GO) test -run TestWriteBenchBaseline -v .

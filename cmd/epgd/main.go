@@ -13,7 +13,9 @@
 //	POST /v1/mutate    {"ops":[{"op":"insert","src":1,"dst":2,"w":0.5}]}
 //
 // The unversioned paths are aliases for pre-v1 clients; every non-200
-// carries a structured {"code","message","retry_after_ms"} body.
+// carries a structured {"code","message","retry_after_ms"} body. The
+// listener bounds header, body-read, response-write and keep-alive
+// idle time, and a mutate body over 1 MiB gets a 413.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"github.com/hpcl-repro/epg/internal/server"
 )
@@ -69,7 +72,15 @@ func main() {
 	defer s.Close()
 	fmt.Fprintf(os.Stderr, "epgd: serving %s (%d vertices, weighted=%t) on %s\n",
 		*dataset, s.NumVertices(), s.Weighted(), *addr)
-	if err := http.ListenAndServe(*addr, s.Handler()); err != nil {
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	if err := srv.ListenAndServe(); err != nil {
 		fatal(err)
 	}
 }

@@ -21,6 +21,21 @@
 //   - the graph is ingested and partitioned while reading (no
 //     separately-timed construction phase).
 //
+// Shard layout. Load runs the cut (graph.GreedyVertexCut), then lays
+// each shard out in the cut's stream order, sized exactly from the
+// cut's loads: source-ascending runs {src, srcSlot, end} over edges
+// {slot, w}. Replica-accumulator slots are numbered shard by shard,
+// in vertex order within a shard, so a shard's gather writes stay in
+// its own block; each edge carries its destination's slot (slotVertex
+// maps it back to the vertex) and each run its source's, resolved
+// once at load (accum.go). A gather
+// sweep tests the active bitmap once per run and calls the vertex
+// program's body once per active run with the source's value hoisted;
+// the modeled charges stay per edge (scan for every edge, gather for
+// every processed one). The apply folds each vertex's slots in
+// ascending shard order, and within a slot edges accumulate in stream
+// order, so float sums are bit-identical to a per-edge sweep.
+//
 // Known fidelity gaps: the real system's async engine (chandy-misra
 // locking, per-vertex schedulers) is not reproduced — every kernel
 // here runs the synchronous engine, which is also what makes its GAS

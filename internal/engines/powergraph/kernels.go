@@ -55,12 +55,14 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	var relaxations int64
 
 	for {
-		relaxations += inst.gatherSweep(active, func(s int, e shardEdge) {
-			nd := dist[e.src] + float64(e.w)
-			i := inst.slot(e.dst, s)
-			if nd < accD[i] || (nd == accD[i] && int64(e.src) < accP[i]) {
-				accD[i] = nd
-				accP[i] = int64(e.src)
+		relaxations += inst.gatherSweep(active, func(r shardRun, edges []shardEdge) {
+			d, src := dist[r.src], int64(r.src)
+			for _, e := range edges {
+				nd := d + float64(e.w)
+				if nd < accD[e.slot] || (nd == accD[e.slot] && src < accP[e.slot]) {
+					accD[e.slot] = nd
+					accP[e.slot] = src
+				}
 			}
 		})
 		// Ghost sync + apply + scatter: combine each vertex's replica
@@ -73,9 +75,9 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 			for v := lo; v < hi; v++ {
 				best := inf
 				var bp int64
-				slo, shi := inst.slotRange(graph.VID(v))
-				reps += shi - slo
-				for i := slo; i < shi; i++ {
+				slots := inst.slots(graph.VID(v))
+				reps += int64(len(slots))
+				for _, i := range slots {
 					if accD[i] < best || (accD[i] == best && accP[i] < bp) {
 						best, bp = accD[i], accP[i]
 					}
@@ -144,8 +146,11 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		dangling := parallel.SumFloat64(dr)
 		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
 
-		inst.gatherSweep(nil, func(s int, e shardEdge) {
-			acc[inst.slot(e.dst, s)] += contrib[e.src]
+		inst.gatherSweep(nil, func(r shardRun, edges []shardEdge) {
+			c := contrib[r.src]
+			for _, e := range edges {
+				acc[e.slot] += c
+			}
 		})
 
 		// Ghost sync + apply: fold replica partial sums in shard
@@ -156,9 +161,9 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 			var reps int64
 			for v := lo; v < hi; v++ {
 				sum := 0.0
-				slo, shi := inst.slotRange(graph.VID(v))
-				reps += shi - slo
-				for i := slo; i < shi; i++ {
+				slots := inst.slots(graph.VID(v))
+				reps += int64(len(slots))
+				for _, i := range slots {
 					sum += acc[i]
 					acc[i] = 0
 				}
@@ -343,12 +348,18 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 		// whenever either endpoint changed, so the sweep processes
 		// every local edge (PowerGraph's dense-gather mode). Weak
 		// connectivity: propagate min both ways.
-		inst.gatherSweep(nil, func(s int, e shardEdge) {
-			if c := comp[e.src]; c < accC[inst.slot(e.dst, s)] {
-				accC[inst.slot(e.dst, s)] = c
+		inst.gatherSweep(nil, func(r shardRun, edges []shardEdge) {
+			cs, back := comp[r.src], noLabel
+			for _, e := range edges {
+				if cs < accC[e.slot] {
+					accC[e.slot] = cs
+				}
+				if c := comp[inst.slotVertex[e.slot]]; c < back {
+					back = c
+				}
 			}
-			if c := comp[e.dst]; c < accC[inst.slot(e.src, s)] {
-				accC[inst.slot(e.src, s)] = c
+			if back < accC[r.srcSlot] {
+				accC[r.srcSlot] = back
 			}
 		})
 		anyc := parallel.NewCounter(inst.m.Workers())
@@ -356,9 +367,9 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 			var applied, reps int64
 			for v := lo; v < hi; v++ {
 				best := noLabel
-				slo, shi := inst.slotRange(graph.VID(v))
-				reps += shi - slo
-				for i := slo; i < shi; i++ {
+				slots := inst.slots(graph.VID(v))
+				reps += int64(len(slots))
+				for _, i := range slots {
 					if accC[i] < best {
 						best = accC[i]
 					}

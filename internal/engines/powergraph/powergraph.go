@@ -46,9 +46,27 @@ func (e *Engine) Has(alg engines.Algorithm) bool {
 	return false
 }
 
+// shard is one vertex-cut partition in the cut's stream order:
+// source-ascending runs of edges. Each edge carries its destination's
+// replica-accumulator slot on this shard, and each run its source's,
+// so gathers index accumulators directly (see accum.go).
+type shard struct {
+	runs  []shardRun
+	edges []shardEdge
+}
+
+// shardRun is one source's edges on a shard: edges[prev end : end].
+type shardRun struct {
+	src     graph.VID
+	srcSlot uint32
+	end     uint32
+}
+
+// shardEdge is one edge of a run: the destination's slot on this
+// shard (slotVertex names the destination) and the edge weight.
 type shardEdge struct {
-	src, dst graph.VID
-	w        float32
+	slot uint32
+	w    float32
 }
 
 // Instance is a loaded, partitioned PowerGraph graph.
@@ -58,10 +76,12 @@ type Instance struct {
 	directed bool
 	weighted bool
 
-	shards   [][]shardEdge
-	replicas []uint64 // per-vertex shard mask
-	totalRep int64    // sum of popcounts: ghost sync volume
-	slotOff  []int64  // per-vertex replica-slot prefix (see accum.go)
+	shards     []shard
+	replicas   []uint64    // per-vertex shard mask
+	totalRep   int64       // sum of popcounts: ghost sync volume
+	repOff     []int64     // per-vertex offset into repSlots (see accum.go)
+	repSlots   []uint32    // each vertex's replica slots, ascending shard
+	slotVertex []graph.VID // the vertex of each slot
 
 	// Homogenized adjacency retained for apply-side degree lookups
 	// and the neighborhood kernels (CDLP/LCC).
@@ -102,14 +122,28 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	}
 	// Partition the deduplicated directed adjacency (the engine's true
 	// edge set) with the shared greedy streaming vertex-cut — the same
-	// machinery the modeled cluster's 2D partitioner uses.
-	inst.shards = make([][]shardEdge, p)
-	cut := graph.GreedyVertexCut(out, p, func(src, dst graph.VID, w float32, shard int) {
-		inst.shards[shard] = append(inst.shards[shard], shardEdge{src, dst, w})
+	// machinery the modeled cluster's 2D partitioner uses. The callback
+	// records each edge's shard and counts each shard's runs (a run
+	// opens when a shard sees a new source); the shards are laid out
+	// once the replica masks, and with them the slots, are final.
+	placed := make([]uint8, 0, out.NumEdges())
+	runs := make([]int64, p)
+	runSrc := make([]int64, p)
+	for s := range runSrc {
+		runSrc[s] = -1
+	}
+	cut := graph.GreedyVertexCut(out, p, func(src, _ graph.VID, _ float32, shard int) {
+		placed = append(placed, uint8(shard))
+		if runSrc[shard] != int64(src) {
+			runSrc[shard] = int64(src)
+			runs[shard]++
+		}
 	})
 	inst.replicas = cut.Replicas
 	inst.totalRep = cut.TotalRep
-	inst.buildSlots()
+	if err := inst.buildShards(placed, cut.Loads, runs); err != nil {
+		return nil, err
+	}
 
 	m.FileRead(int64(len(el.Edges))*16, true)
 	m.ParallelFor(int(out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
@@ -147,29 +181,32 @@ func (inst *Instance) syncGhosts() {
 }
 
 // gatherSweep runs one GAS gather phase: every shard scans its local
-// edges; body is invoked with the shard ID for edges whose source is
-// active (a bitmap frontier; nil means all-active), and accumulates
-// into that shard's replica slots (shard-local writes: no atomics, see
-// accum.go). The scan cost covers the engine's per-edge dispatch even
-// for inactive edges. It returns the processed edge count
-// (deterministic: the active set is fixed before the sweep).
-func (inst *Instance) gatherSweep(active *parallel.Bitmap, body func(s int, e shardEdge)) int64 {
+// edges; body is invoked once per run (one source's edges on the
+// shard) whose source is active (a bitmap frontier; nil means
+// all-active), and accumulates into that shard's replica slots
+// (shard-local writes: no atomics, see accum.go). The scan cost covers
+// the engine's per-edge dispatch even for inactive edges. It returns
+// the processed edge count (deterministic: the active set is fixed
+// before the sweep).
+func (inst *Instance) gatherSweep(active *parallel.Bitmap, body func(r shardRun, edges []shardEdge)) int64 {
 	shards := inst.shards
 	processedBy := make([]int64, len(shards))
 	inst.m.ForEachThread(func(tid int, w *simmachine.W) {
 		if tid >= len(shards) {
 			return
 		}
-		var scanned, processed int64
-		for _, e := range shards[tid] {
-			scanned++
-			if active == nil || active.Test(int(e.src)) {
-				processed++
-				body(tid, e)
+		sh := shards[tid]
+		var processed int64
+		start := uint32(0)
+		for _, r := range sh.runs {
+			if active == nil || active.Test(int(r.src)) {
+				processed += int64(r.end - start)
+				body(r, sh.edges[start:r.end])
 			}
+			start = r.end
 		}
 		processedBy[tid] = processed
-		w.Charge(costScanEdge.Scale(float64(scanned)))
+		w.Charge(costScanEdge.Scale(float64(len(sh.edges))))
 		w.Charge(costGatherEdge.Scale(float64(processed)))
 	})
 	var total int64

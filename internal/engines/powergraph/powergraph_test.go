@@ -2,6 +2,8 @@ package powergraph
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/engines"
@@ -49,7 +51,7 @@ func TestVertexCutProperties(t *testing.T) {
 	// Every directed edge placed exactly once.
 	var placed int64
 	for _, shard := range pg.shards {
-		placed += int64(len(shard))
+		placed += int64(len(shard.edges))
 	}
 	if placed != pg.out.NumEdges() {
 		t.Errorf("placed %d edges, graph has %d", placed, pg.out.NumEdges())
@@ -57,8 +59,8 @@ func TestVertexCutProperties(t *testing.T) {
 	// Shard loads balanced within 2x of the mean (greedy cut).
 	mean := float64(placed) / float64(len(pg.shards))
 	for s, shard := range pg.shards {
-		if float64(len(shard)) > 2*mean+64 {
-			t.Errorf("shard %d holds %d edges, mean %.0f", s, len(shard), mean)
+		if float64(len(shard.edges)) > 2*mean+64 {
+			t.Errorf("shard %d holds %d edges, mean %.0f", s, len(shard.edges), mean)
 		}
 	}
 	// Replication factor: at least 1, and well below the shard
@@ -69,6 +71,83 @@ func TestVertexCutProperties(t *testing.T) {
 	}
 	if rf > float64(len(pg.shards)) {
 		t.Errorf("replication factor %v exceeds shard count %d", rf, len(pg.shards))
+	}
+}
+
+// TestShardLayout checks the source-run layout Load builds: shards
+// sized exactly, runs strictly source-ascending and covering the
+// shard's edges, every edge a real adjacency entry, and every slot
+// the (vertex, shard) replica's one accumulator — the slots form a
+// permutation of [0, totalRep), each shard's a contiguous block.
+func TestShardLayout(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 5})
+		el.Directed = directed
+		inst, err := New().Load(el, machine(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg := inst.(*Instance)
+		slotOf := func(v graph.VID, s int) uint32 {
+			mask := pg.replicas[v]
+			if mask>>uint(s)&1 == 0 {
+				t.Fatalf("vertex %d has an edge on shard %d outside its replica mask", v, s)
+			}
+			return pg.slots(v)[bits.OnesCount64(mask&(1<<uint(s)-1))]
+		}
+		seen := make([]bool, pg.totalRep)
+		for v := range pg.replicas {
+			for _, slot := range pg.slots(graph.VID(v)) {
+				if seen[slot] || pg.slotVertex[slot] != graph.VID(v) {
+					t.Fatalf("slot %d assigned twice or not mapped back to vertex %d", slot, v)
+				}
+				seen[slot] = true
+			}
+		}
+		var placed int64
+		next := uint32(0)
+		for s, sh := range pg.shards {
+			if len(sh.edges) != cap(sh.edges) || len(sh.runs) != cap(sh.runs) {
+				t.Errorf("shard %d not sized exactly: edges %d/%d runs %d/%d", s, len(sh.edges), cap(sh.edges), len(sh.runs), cap(sh.runs))
+			}
+			start := uint32(0)
+			for i, r := range sh.runs {
+				if i > 0 && r.src <= sh.runs[i-1].src || r.end <= start {
+					t.Fatalf("shard %d run %d {src %d end %d} out of order", s, i, r.src, r.end)
+				}
+				if r.srcSlot != slotOf(r.src, s) {
+					t.Fatalf("shard %d run %d: srcSlot %d, want %d", s, i, r.srcSlot, slotOf(r.src, s))
+				}
+				adj, ws := pg.out.Neighbors(r.src), pg.out.NeighborWeights(r.src)
+				for _, e := range sh.edges[start:r.end] {
+					dst := pg.slotVertex[e.slot]
+					j := slices.Index(adj, dst)
+					if j < 0 || ws[j] != e.w {
+						t.Fatalf("shard %d: edge %d->%d (w %v) not in the adjacency", s, r.src, dst, e.w)
+					}
+					if e.slot != slotOf(dst, s) {
+						t.Fatalf("shard %d: edge %d->%d slot %d, want %d", s, r.src, dst, e.slot, slotOf(dst, s))
+					}
+				}
+				start = r.end
+			}
+			if int(start) != len(sh.edges) {
+				t.Fatalf("shard %d: runs cover %d of %d edges", s, start, len(sh.edges))
+			}
+			placed += int64(len(sh.edges))
+			// Shard s's slots are the next contiguous block.
+			for v, mask := range pg.replicas {
+				if mask>>uint(s)&1 == 1 {
+					if got := slotOf(graph.VID(v), s); got != next {
+						t.Fatalf("shard %d: vertex %d slot %d, want %d (contiguous, vertex order)", s, v, got, next)
+					}
+					next++
+				}
+			}
+		}
+		if placed != pg.out.NumEdges() || int64(next) != pg.totalRep {
+			t.Errorf("placed %d of %d edges, numbered %d of %d slots", placed, pg.out.NumEdges(), next, pg.totalRep)
+		}
 	}
 }
 

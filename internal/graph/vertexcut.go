@@ -21,13 +21,19 @@ type VertexCutStats struct {
 // MaxVertexCutShards shards with PowerGraph's greedy streaming
 // heuristic: each edge goes to the least-loaded shard already holding
 // one of its endpoints (or the globally least-loaded shard when
-// neither endpoint is placed yet), replicating both endpoints there.
-// Edges stream in canonical order — source vertex ascending, adjacency
-// order within each source — so the cut is a pure function of (c,
-// shards). assign, when non-nil, is called once per edge with the
-// chosen shard; engines use it to materialize per-shard edge lists,
-// while modeling-only callers (the cluster partitioner) pass nil and
-// keep just the stats.
+// neither endpoint is placed yet), lowest shard index on ties,
+// replicating both endpoints there. Edges stream in canonical order —
+// source vertex ascending, adjacency order within each source — so
+// the cut is a pure function of (c, shards). assign, when non-nil, is
+// called once per edge with the chosen shard; engines use it to
+// materialize per-shard edge lists, while modeling-only callers (the
+// cluster partitioner) pass nil and keep just the stats.
+//
+// The choice needs no per-candidate scan: shards are grouped into
+// levels of equal load, kept in ascending load order as one shard
+// mask per level, so the least-loaded candidate is the lowest set bit
+// of the first level that meets the candidate mask, and a placement
+// moves that one bit up one level.
 func GreedyVertexCut(c *CSR, shards int, assign func(src, dst VID, w float32, shard int)) *VertexCutStats {
 	if shards > MaxVertexCutShards {
 		shards = MaxVertexCutShards
@@ -40,46 +46,76 @@ func GreedyVertexCut(c *CSR, shards int, assign func(src, dst VID, w float32, sh
 		Replicas: make([]uint64, c.NumVertices),
 		Loads:    make([]int64, shards),
 	}
-	place := func(src, dst VID, w float32) {
-		cand := st.Replicas[src] | st.Replicas[dst]
-		best := -1
-		var bestLoad int64
-		if cand != 0 {
-			for mask := cand; mask != 0; mask &= mask - 1 {
-				s := bits.TrailingZeros64(mask)
-				if best == -1 || st.Loads[s] < bestLoad {
-					best, bestLoad = s, st.Loads[s]
-				}
-			}
-		} else {
-			for s := 0; s < shards; s++ {
-				if best == -1 || st.Loads[s] < bestLoad {
-					best, bestLoad = s, st.Loads[s]
-				}
-			}
-		}
-		if assign != nil {
-			assign(src, dst, w, best)
-		}
-		st.Loads[best]++
-		st.Replicas[src] |= 1 << uint(best)
-		st.Replicas[dst] |= 1 << uint(best)
-	}
+	all := ^uint64(0) >> uint(MaxVertexCutShards-shards)
+	lv := cutLevels{n: 1}
+	lv.mask[0] = all
 	for v := 0; v < c.NumVertices; v++ {
-		adj := c.Neighbors(VID(v))
-		ws := c.NeighborWeights(VID(v))
-		for i, u := range adj {
-			var w float32
-			if ws != nil {
-				w = ws[i]
+		src := VID(v)
+		adj := c.Neighbors(src)
+		ws := c.NeighborWeights(src)
+		for i, dst := range adj {
+			cand := st.Replicas[src] | st.Replicas[dst]
+			if cand == 0 {
+				cand = all
 			}
-			place(VID(v), u, w)
+			best := lv.place(cand)
+			if assign != nil {
+				var w float32
+				if ws != nil {
+					w = ws[i]
+				}
+				assign(src, dst, w, best)
+			}
+			st.Loads[best]++
+			bit := uint64(1) << uint(best)
+			st.Replicas[src] |= bit
+			st.Replicas[dst] |= bit
 		}
 	}
 	for _, mask := range st.Replicas {
 		st.TotalRep += int64(bits.OnesCount64(mask))
 	}
 	return st
+}
+
+// cutLevels groups shards by load: level i holds the shards whose
+// load is load[i], and loads strictly ascend with i. Every shard sits
+// in exactly one level, so there are at most MaxVertexCutShards.
+type cutLevels struct {
+	n    int
+	load [MaxVertexCutShards]int64
+	mask [MaxVertexCutShards]uint64
+}
+
+// place returns the least-loaded shard in cand (lowest index on ties)
+// and moves it up one load unit.
+func (lv *cutLevels) place(cand uint64) int {
+	i := 0
+	for lv.mask[i]&cand == 0 {
+		i++
+	}
+	bit := lv.mask[i] & cand & -(lv.mask[i] & cand)
+	up := lv.load[i] + 1
+	switch {
+	case i+1 < lv.n && lv.load[i+1] == up:
+		lv.mask[i+1] |= bit
+	case lv.mask[i] == bit:
+		// The shard was alone on its level: the level moves up.
+		lv.load[i] = up
+		return bits.TrailingZeros64(bit)
+	default:
+		copy(lv.load[i+2:lv.n+1], lv.load[i+1:lv.n])
+		copy(lv.mask[i+2:lv.n+1], lv.mask[i+1:lv.n])
+		lv.n++
+		lv.load[i+1], lv.mask[i+1] = up, bit
+	}
+	lv.mask[i] &^= bit
+	if lv.mask[i] == 0 {
+		copy(lv.load[i:lv.n-1], lv.load[i+1:lv.n])
+		copy(lv.mask[i:lv.n-1], lv.mask[i+1:lv.n])
+		lv.n--
+	}
+	return bits.TrailingZeros64(bit)
 }
 
 // ReplicationFactor returns the average number of shards holding each

@@ -23,7 +23,8 @@ import (
 // Status mapping: 200 served (including degraded answers — check the
 // "degraded" field); every non-200 carries a structured error body
 // {"code","message","retry_after_ms"}: 400 invalid_query, 405
-// method_not_allowed, 429 shed (Retry-After header and retry_after_ms
+// method_not_allowed, 413 too_large (a mutate body over
+// maxMutateBodyBytes), 429 shed (Retry-After header and retry_after_ms
 // agree), 500 panic or engine_error, 503 closed, 504 deadline.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -50,7 +51,12 @@ const (
 	codeEngineError      = "engine_error"
 	codeClosed           = "closed"
 	codeMethodNotAllowed = "method_not_allowed"
+	codeTooLarge         = "too_large"
 )
+
+// maxMutateBodyBytes bounds a POST /v1/mutate body (about 20k wire
+// ops); larger batches must be split by the client.
+const maxMutateBodyBytes = 1 << 20
 
 // shedRetryAfterMS is the backoff hint on 429 responses; the
 // Retry-After header is the same value in (integer) seconds.
@@ -212,7 +218,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+				"mutate body over "+strconv.Itoa(maxMutateBodyBytes)+" bytes")
+			return
+		}
 		writeError(w, http.StatusBadRequest, codeInvalidQuery, "bad mutate body: "+err.Error())
 		return
 	}

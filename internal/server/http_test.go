@@ -245,3 +245,25 @@ func TestHTTPRefresh(t *testing.T) {
 		t.Fatalf("GET /refresh: HTTP %d, want 405", code)
 	}
 }
+
+// An oversized mutate body is cut off at maxMutateBodyBytes with a
+// structured 413, and the graph is left alone.
+func TestHTTPMutateBodyTooLarge(t *testing.T) {
+	s, ts := startHTTP(t, Config{Executors: 1})
+	body := `{"ops":[` + strings.Repeat(" ", maxMutateBodyBytes) + `]}`
+	resp, err := http.Post(ts.URL+"/v1/mutate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Code != codeTooLarge || e.Message == "" {
+		t.Fatalf("oversized body: HTTP %d %+v, want 413 %q", resp.StatusCode, e, codeTooLarge)
+	}
+	if g := s.SketchGeneration(); g != 1 {
+		t.Fatalf("sketch generation %d after a rejected mutate, want 1", g)
+	}
+}

@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/verify"
 )
 
 // postJSON posts a JSON body and decodes the response.
@@ -61,6 +63,34 @@ func testBatch(t *testing.T, s *Server) graph.Batch {
 	}
 }
 
+// postBatchEdgeList returns s's original graph with batches applied
+// in order, as an edge list (one entry per undirected edge).
+func postBatchEdgeList(t *testing.T, s *Server, batches ...graph.Batch) *graph.EdgeList {
+	t.Helper()
+	shadow := graph.NewMutableCSR(s.csr, s.el.Directed)
+	for _, b := range batches {
+		if _, err := shadow.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post := shadow.CSR()
+	postEL := &graph.EdgeList{NumVertices: post.NumVertices, Weighted: post.Weights != nil, Directed: s.el.Directed}
+	for v := 0; v < post.NumVertices; v++ {
+		ws := post.NeighborWeights(graph.VID(v))
+		for i, u := range post.Neighbors(graph.VID(v)) {
+			if !s.el.Directed && u < graph.VID(v) {
+				continue
+			}
+			e := graph.Edge{Src: graph.VID(v), Dst: u}
+			if ws != nil {
+				e.W = ws[i]
+			}
+			postEL.Edges = append(postEL.Edges, e)
+		}
+	}
+	return postEL
+}
+
 // After a mutate, every query kind must answer exactly as a server
 // freshly built on the post-batch graph would.
 func TestMutateAnswersMatchFreshServer(t *testing.T) {
@@ -79,25 +109,7 @@ func TestMutateAnswersMatchFreshServer(t *testing.T) {
 	}
 
 	// Reference: a server started directly on the post-batch edge list.
-	shadow := graph.NewMutableCSR(s.csr, s.el.Directed)
-	if _, err := shadow.Apply(batch); err != nil {
-		t.Fatal(err)
-	}
-	post := shadow.CSR()
-	postEL := &graph.EdgeList{NumVertices: post.NumVertices, Weighted: post.Weights != nil, Directed: s.el.Directed}
-	for v := 0; v < post.NumVertices; v++ {
-		ws := post.NeighborWeights(graph.VID(v))
-		for i, u := range post.Neighbors(graph.VID(v)) {
-			if !s.el.Directed && u < graph.VID(v) {
-				continue
-			}
-			e := graph.Edge{Src: graph.VID(v), Dst: u}
-			if ws != nil {
-				e.W = ws[i]
-			}
-			postEL.Edges = append(postEL.Edges, e)
-		}
-	}
+	postEL := postBatchEdgeList(t, s, batch)
 	ref, err := NewFromEdgeList(postEL, Config{Executors: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +132,79 @@ func TestMutateAnswersMatchFreshServer(t *testing.T) {
 		if got.Value != want.Value {
 			t.Errorf("%s src=%d dst=%d: mutated server answers %v, fresh server %v",
 				q.Op, q.Source, q.Target, got.Value, want.Value)
+		}
+	}
+}
+
+// Concurrent mutates land on different executors and must serialize:
+// an executor that synced before another's batch was logged must not
+// log its own batch past it. Each round joins fresh pairs of isolated
+// vertices in two concurrent batches; afterwards every executor's
+// BFS and WCC, and the served WCC vector, must match the reference on
+// the graph with every batch applied.
+func TestConcurrentMutatesSerialize(t *testing.T) {
+	s := startServer(t, Config{Executors: 3})
+	var isolated []graph.VID
+	for v := 0; v < s.csr.NumVertices; v++ {
+		if s.csr.Degree(graph.VID(v)) == 0 {
+			isolated = append(isolated, graph.VID(v))
+		}
+	}
+	const rounds = 4
+	if len(isolated) < 4*rounds {
+		t.Fatalf("need %d isolated vertices, graph has %d", 4*rounds, len(isolated))
+	}
+	ctx := context.Background()
+	var applied []graph.Batch
+	for r := 0; r < rounds; r++ {
+		iso := isolated[4*r:]
+		pair := []graph.Batch{
+			{{Op: graph.MutInsert, Src: iso[0], Dst: iso[1], W: 0.5}},
+			{{Op: graph.MutInsert, Src: iso[2], Dst: iso[3], W: 0.25}},
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, len(pair))
+		for i, b := range pair {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = s.Mutate(ctx, b)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		applied = append(applied, pair...)
+	}
+	s.Close()
+
+	p := verify.Prepare(postBatchEdgeList(t, s, applied...))
+	wantWCC := verify.WCC(p)
+	if err := verify.ValidateWCC(&engines.WCCResult{Component: s.vectors().wcc}, wantWCC); err != nil {
+		t.Errorf("served WCC vector: %v", err)
+	}
+	for _, e := range s.execs {
+		if err := s.syncExecutor(e); err != nil {
+			t.Fatal(err)
+		}
+		for _, root := range []graph.VID{isolated[0], isolated[2], isolated[4*rounds-1]} {
+			got, err := e.inst.BFS(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verify.ValidateBFS(p, got, verify.BFS(p, root)); err != nil {
+				t.Errorf("executor %d BFS(%d): %v", e.id, root, err)
+			}
+		}
+		got, err := e.inst.WCC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verify.ValidateWCC(got, wantWCC); err != nil {
+			t.Errorf("executor %d WCC: %v", e.id, err)
 		}
 	}
 }

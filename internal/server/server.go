@@ -101,6 +101,13 @@ type Server struct {
 	// current homogenized adjacency epoch. Executors replay the log
 	// lazily when they dequeue, so every query is served on a graph at
 	// least as new as the last acknowledged mutation.
+	// maintMu serializes maintenance entries (refresh and mutate) from
+	// their syncExecutor through the swap: an executor that synced to
+	// the log must append its batch right after what it synced, or a
+	// concurrent entry's batch would be skipped on this executor and
+	// missing from the vectors it swaps in. Queries never take it.
+	maintMu sync.Mutex
+
 	vecMu     sync.RWMutex
 	vec       vectors
 	sketch    *Sketch
@@ -343,9 +350,12 @@ func (s *Server) syncExecutor(e *executor) error {
 // executor: sync the instance, apply the new batch (mutate only),
 // re-converge the vectors incrementally, rebuild the degradation
 // sketch on the post-batch adjacency, and swap vectors + sketch + log
-// in one critical section. Queries keep flowing on the other
-// executors throughout; they observe the new state atomically.
+// in one critical section. Maintenance entries run one at a time
+// (maintMu); queries keep flowing on the other executors throughout
+// and observe the new state atomically.
 func (s *Server) maintainOn(e *executor, p *pending) Response {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	if err := s.syncExecutor(e); err != nil {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
